@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test race bench bench-json docs-lint fuzz soak-smoke check
+.PHONY: all build fmt vet test race bench bench-json bench-smoke docs-lint fuzz soak-smoke check
 
 # Seconds each fuzz target runs under `make fuzz` (CI uses the same
 # smoke budget; raise it locally for a real fuzzing session).
@@ -105,6 +105,12 @@ bench-json:
 soak-smoke:
 	GOMAXPROCS=2 $(GO) test -race -run TestChurnSoak -count=1 ./internal/serve/
 
+# The end-to-end benchmark (cmd/pbpair-bench) is its own Go module, so
+# the root `go test ./...` never reaches its tests: its metric
+# definitions, output checks and workload plumbing (a few seconds).
+bench-smoke:
+	$(GO) -C cmd/pbpair-bench test ./...
+
 # Documentation gate: every relative link in the repo's markdown must
 # resolve, and the operator guide must track the code — pbpair-mdlint
 # cross-checks OPERATIONS.md against the live pbpair-serve/pbpair-load
@@ -131,4 +137,4 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzBitstreamEquiv -fuzztime $(FUZZTIME) ./internal/bitstream/
 	$(GO) test -run xxx -fuzz FuzzVLCDecodeEquiv -fuzztime $(FUZZTIME) ./internal/entropy/
 
-check: build fmt vet test race soak-smoke docs-lint
+check: build fmt vet test race soak-smoke bench-smoke docs-lint

@@ -2,9 +2,7 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -151,44 +149,11 @@ func BenchmarkServeFarm(b *testing.B) {
 // once. Spread across trigger frames and sub-frame offsets, the
 // windows tile several frame intervals and some client always forks.
 func blipStream(server string, frames, trigger int, delay time.Duration) (int, error) {
-	raddr, err := net.ResolveUDPAddr("udp", server)
-	if err != nil {
-		return 0, err
-	}
-	conn, err := net.DialUDP("udp", nil, raddr)
+	conn, id, _, err := dialSession(server, hello{Frames: frames, Regime: synth.RegimeForeman}, 15)
 	if err != nil {
 		return 0, err
 	}
 	defer conn.Close()
-
-	var id uint32
-	buf := make([]byte, 2048)
-handshake:
-	for attempt := 0; ; attempt++ {
-		if attempt == 15 {
-			return 0, errors.New("blip client: no accept after 15 hellos")
-		}
-		if _, err := conn.Write(appendHello(nil, hello{Frames: frames, Regime: synth.RegimeForeman})); err != nil {
-			return 0, err
-		}
-		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		for {
-			n, err := conn.Read(buf)
-			if err != nil {
-				continue handshake
-			}
-			if n > 0 && buf[0] == msgAccept {
-				if id, _, err = parseAccept(buf[:n]); err != nil {
-					return 0, err
-				}
-				break handshake
-			}
-			if n > 0 && buf[0] == msgReject {
-				reason, _ := parseReject(buf[:n])
-				return 0, fmt.Errorf("blip client rejected: %s", reason)
-			}
-		}
-	}
 	defer conn.Write(appendBye(nil, id))
 
 	send := func(fraction float64) {
@@ -215,6 +180,7 @@ handshake:
 		}
 	}
 
+	buf := make([]byte, 2048)
 	var scratch []network.Packet
 	maxFrame := -1
 	bump := func(f int) {
@@ -303,7 +269,7 @@ func BenchmarkServeFarm10k(b *testing.B) {
 		// while the fleet is still doing hellos — reliable delivery, so
 		// the lineage_merges floor holds every run.
 		go func() {
-			fr, _, err := drainStream(srv.Addr().String(), hello{
+			fr, _, _, err := drainStream(srv.Addr().String(), hello{
 				Frames: frames,
 				Regime: synth.RegimeAkiyo,
 			}, 1)
@@ -347,7 +313,7 @@ func BenchmarkServeFarm10k(b *testing.B) {
 		}
 		for i := 0; i < quiet; i++ {
 			go func() {
-				fr, _, err := drainStream(srv.Addr().String(), hello{
+				fr, _, _, err := drainStream(srv.Addr().String(), hello{
 					Frames: frames,
 					Regime: synth.RegimeForeman,
 				}, 1)

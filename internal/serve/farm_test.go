@@ -212,6 +212,11 @@ func TestLoadShedOverload(t *testing.T) {
 		MaxSessions: 32,
 		FarmWorkers: 1,
 		FarmBacklog: 1,
+		// Distinct QPs cannot share, so the window only holds every
+		// lineage at frame 0 until all eight streams are admitted:
+		// otherwise the first few saturate the farm and shed the rest
+		// of the test's own streams at admission.
+		CohortWindow: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -296,6 +301,52 @@ func TestLoadShedOverload(t *testing.T) {
 	waitGoroutines(t, before+2)
 }
 
+// dialSession is the in-package test clients' handshake: dial the
+// server, send hellos until an accept or reject arrives (at most
+// attempts of them, each waiting 2s), and return the connected socket,
+// the session id and how many hellos were retransmissions. A reject is
+// an error carrying the server's reason.
+func dialSession(server string, h hello, attempts int) (conn *net.UDPConn, id uint32, retransmits int, err error) {
+	raddr, err := net.ResolveUDPAddr("udp", server)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	if conn, err = net.DialUDP("udp", nil, raddr); err != nil {
+		return nil, 0, 0, err
+	}
+	buf := make([]byte, 2048)
+	for attempt := 0; attempt < attempts; attempt++ {
+		if attempt > 0 {
+			retransmits++
+		}
+		if _, err := conn.Write(appendHello(nil, h)); err != nil {
+			conn.Close()
+			return nil, 0, retransmits, err
+		}
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		for {
+			n, err := conn.Read(buf)
+			if err != nil {
+				break // timeout: retransmit the hello
+			}
+			if n > 0 && buf[0] == msgAccept {
+				if id, _, err = parseAccept(buf[:n]); err != nil {
+					conn.Close()
+					return nil, 0, retransmits, err
+				}
+				return conn, id, retransmits, nil
+			}
+			if n > 0 && buf[0] == msgReject {
+				reason, _ := parseReject(buf[:n])
+				conn.Close()
+				return nil, 0, retransmits, fmt.Errorf("test client rejected: %s", reason)
+			}
+		}
+	}
+	conn.Close()
+	return nil, 0, retransmits, fmt.Errorf("test client: no accept after %d hellos", attempts)
+}
+
 // rawStream is a minimal in-package receiver that records the exact
 // media packets of one session, keyed by frame — the instrument for
 // proving shared-lineage streams are bit-identical to solo ones. It
@@ -303,47 +354,14 @@ func TestLoadShedOverload(t *testing.T) {
 // frame-0 values. Safe to call from helper goroutines (errors are
 // returned, not asserted).
 func rawStream(server string, frames int) (map[int][]network.Packet, error) {
-	raddr, err := net.ResolveUDPAddr("udp", server)
-	if err != nil {
-		return nil, err
-	}
-	conn, err := net.DialUDP("udp", nil, raddr)
+	conn, id, _, err := dialSession(server, hello{Frames: frames, Regime: synth.RegimeForeman, ReportEvery: 0}, 3)
 	if err != nil {
 		return nil, err
 	}
 	defer conn.Close()
-
-	h := hello{Frames: frames, Regime: synth.RegimeForeman, ReportEvery: 0}
-	var id uint32
-	buf := make([]byte, 65536)
-handshake:
-	for attempt := 0; ; attempt++ {
-		if attempt == 3 {
-			return nil, errors.New("raw client: no accept after 3 hellos")
-		}
-		if _, err := conn.Write(appendHello(nil, h)); err != nil {
-			return nil, err
-		}
-		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		for {
-			n, err := conn.Read(buf)
-			if err != nil {
-				continue handshake
-			}
-			if n > 0 && buf[0] == msgAccept {
-				if id, _, err = parseAccept(buf[:n]); err != nil {
-					return nil, err
-				}
-				break handshake
-			}
-			if n > 0 && buf[0] == msgReject {
-				reason, _ := parseReject(buf[:n])
-				return nil, fmt.Errorf("raw client rejected: %s", reason)
-			}
-		}
-	}
 	defer conn.Write(appendBye(nil, id))
 
+	buf := make([]byte, 65536)
 	got := make(map[int][]network.Packet)
 	record := func(pkt network.Packet) { got[pkt.FrameNum] = append(got[pkt.FrameNum], pkt) }
 	conn.SetReadDeadline(time.Now().Add(20 * time.Second))

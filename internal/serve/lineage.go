@@ -99,8 +99,7 @@ type lineage struct {
 	home int
 
 	frame    int       // next frame index to encode
-	due      time.Time // pacing: earliest next dispatch
-	formed   time.Time // first member's admission (cohort window gate)
+	due      time.Time // pacing: next slot on the capture grid (pacing.go)
 	started  bool      // frame 0 dispatched; no more joins
 	inflight bool      // an encode job is out for this lineage
 
@@ -168,7 +167,6 @@ func (l *lineage) fork(id uint32, members []*session) (*lineage, error) {
 		home:    shardIdx(members[0]),
 		frame:   l.frame,
 		due:     l.due,
-		formed:  l.formed,
 		started: l.started,
 		src:     l.src, // sources are concurrency-safe and read-only
 		planner: l.planner.Clone(),

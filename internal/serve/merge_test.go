@@ -2,12 +2,11 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
+	"pbpair/internal/adapt"
 	"pbpair/internal/network"
 	"pbpair/internal/synth"
 )
@@ -19,50 +18,17 @@ import (
 // rawStream does, so a reporting receiver's stream can be compared
 // byte-for-byte against a silent one.
 func reportingStream(server string, frames int, regime synth.Regime, reports map[int]float64) (map[int][]network.Packet, error) {
-	raddr, err := net.ResolveUDPAddr("udp", server)
-	if err != nil {
-		return nil, err
-	}
-	conn, err := net.DialUDP("udp", nil, raddr)
+	// ReportEvery stays 0: the server consumes reports from any session,
+	// and not promising a cadence keeps the sparse script clear of the
+	// feedback-timeout reaper.
+	conn, id, _, err := dialSession(server, hello{Frames: frames, Regime: regime, ReportEvery: 0}, 3)
 	if err != nil {
 		return nil, err
 	}
 	defer conn.Close()
-
-	// ReportEvery stays 0: the server consumes reports from any session,
-	// and not promising a cadence keeps the sparse script clear of the
-	// feedback-timeout reaper.
-	h := hello{Frames: frames, Regime: regime, ReportEvery: 0}
-	var id uint32
-	buf := make([]byte, 65536)
-handshake:
-	for attempt := 0; ; attempt++ {
-		if attempt == 3 {
-			return nil, errors.New("reporting client: no accept after 3 hellos")
-		}
-		if _, err := conn.Write(appendHello(nil, h)); err != nil {
-			return nil, err
-		}
-		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		for {
-			n, err := conn.Read(buf)
-			if err != nil {
-				continue handshake
-			}
-			if n > 0 && buf[0] == msgAccept {
-				if id, _, err = parseAccept(buf[:n]); err != nil {
-					return nil, err
-				}
-				break handshake
-			}
-			if n > 0 && buf[0] == msgReject {
-				reason, _ := parseReject(buf[:n])
-				return nil, fmt.Errorf("reporting client rejected: %s", reason)
-			}
-		}
-	}
 	defer conn.Write(appendBye(nil, id))
 
+	buf := make([]byte, 65536)
 	got := make(map[int][]network.Packet)
 	cur := -1
 	record := func(pkt network.Packet) {
@@ -253,5 +219,54 @@ func TestMergeDisabled(t *testing.T) {
 	}
 	if snap["server.lineage_merges"] != 0 {
 		t.Errorf("server.lineage_merges = %v with DisableMerge set", snap["server.lineage_merges"])
+	}
+}
+
+// TestAwaitsMerge pins when a due lineage holds its dispatch for a
+// cohort-mate: only while the mate is encoding the frame the lineage
+// just finished, with merging enabled and both sides quiescent.
+func TestAwaitsMerge(t *testing.T) {
+	qctl, err := adapt.NewQualityController(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	member := func(loss float64) *session {
+		est, err := adapt.NewPLREstimator(0.35)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loss > 0 {
+			est.ObserveReport(loss)
+		}
+		return &session{est: est}
+	}
+	key := cohortKey{regime: synth.RegimeForeman, qp: 8}
+	cases := []struct {
+		name         string
+		mateKey      cohortKey
+		mateFrame    int
+		mateInflight bool
+		loss         float64 // the held lineage's member loss
+		disableMerge bool
+		want         bool
+	}{
+		{"mate encoding the frame just finished", key, 4, true, 0, false, true},
+		{"mate idle at the same frame", key, 5, false, 0, false, false},
+		{"mate two frames behind", key, 3, true, 0, false, false},
+		{"mate of another cohort", cohortKey{regime: synth.RegimeForeman, qp: 9}, 4, true, 0, false, false},
+		{"lineage not quiescent", key, 4, true, 0.3, false, false},
+		{"merging disabled", key, 4, true, 0, true, false},
+	}
+	for _, c := range cases {
+		l := &lineage{key: key, frame: 5, started: true, members: []*session{member(c.loss)}}
+		mate := &lineage{key: c.mateKey, frame: c.mateFrame, started: true, inflight: c.mateInflight, members: []*session{member(0)}}
+		sc := &scheduler{
+			srv:      &Server{cfg: Config{AlphaQuantum: 1.0 / 64, DisableMerge: c.disableMerge}},
+			qctl:     qctl,
+			lineages: []*lineage{l, mate},
+		}
+		if got := sc.awaitsMerge(l); got != c.want {
+			t.Errorf("%s: awaitsMerge = %v, want %v", c.name, got, c.want)
+		}
 	}
 }

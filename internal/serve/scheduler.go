@@ -34,14 +34,17 @@ type encodeJob struct {
 // completed jobs from the farm, End confirmations from the sender,
 // wake pokes) and leaves as encode jobs on a bounded queue.
 //
-// Load shedding: the job queue bound is the overload signal. When a
-// dispatch pass cannot enqueue every due lineage, the newest lineages
-// (largest oldest-member id) are deferred first and the server is
-// flagged overloaded, which makes admission reject new hellos until
-// the backlog drains. Deferral costs a session nothing but added frame
-// latency — and if its queue then overflows, drop-oldest eviction
-// surfaces as wire loss, which is exactly the signal the §3.2 loop is
-// built to absorb.
+// Load shedding: pacing slip is the overload signal. When a dispatch
+// pass cannot enqueue every due lineage, the newest lineages (largest
+// oldest-member id) wait first. A waiting lineage still inside its
+// frame slot just goes out on the next pass (a farm result triggers
+// it); one that has missed a whole slot is counted as deferred and
+// flags the server overloaded, which makes admission reject new hellos
+// until the farm catches up. Unpaced, every due lineage has missed its
+// slot, so a full backlog alone is overload. Deferral costs a session
+// nothing but added frame latency — and if its queue then overflows,
+// drop-oldest eviction surfaces as wire loss, which is exactly the
+// signal the §3.2 loop is built to absorb.
 type scheduler struct {
 	srv *Server
 
@@ -175,14 +178,8 @@ func (sc *scheduler) nextDue() (time.Duration, bool) {
 		if l.inflight || len(l.members) == 0 {
 			continue
 		}
-		t := l.due
-		if !l.started && sc.srv.cfg.CohortWindow > 0 {
-			if g := l.formed.Add(sc.srv.cfg.CohortWindow); g.After(t) {
-				t = g
-			}
-		}
-		if earliest.IsZero() || t.Before(earliest) {
-			earliest = t
+		if earliest.IsZero() || l.due.Before(earliest) {
+			earliest = l.due
 		}
 	}
 	if earliest.IsZero() {
@@ -264,8 +261,9 @@ func (sc *scheduler) newLineage(key cohortKey, s *session, now time.Time) (*line
 		key:     key,
 		members: []*session{s},
 		home:    shardIdx(s),
-		formed:  now,
-		due:     now,
+		// The cohort window holds frame 0 back; its end is the first
+		// due time, where the capture grid is anchored.
+		due:     now.Add(cfg.CohortWindow),
 		src:     src,
 		planner: planner,
 		pktz:    network.NewPacketizer(cfg.MTU),
@@ -315,7 +313,8 @@ func (sc *scheduler) reap(now time.Time) {
 // dispatch runs one scheduling pass: oldest-member-first over due
 // lineages, partitioning each by the knobs its members want (forking
 // divergers) and handing encode jobs to the farm until the backlog is
-// full. Everything left over is load-shed: deferred, counted, and —
+// full. Due lineages left over wait for the next pass; those a whole
+// frame slot behind their grid are load-shed: deferred, counted, and —
 // via the overloaded flag — admission-gated.
 func (sc *scheduler) dispatch(now time.Time) {
 	if sc.orderDirty {
@@ -325,36 +324,37 @@ func (sc *scheduler) dispatch(now time.Time) {
 		sc.orderDirty = false
 		sc.updateCohortShared()
 	}
-	overloaded := false
+	interval := sc.srv.cfg.FrameInterval
+	full, overloaded := false, false
 	// Partitioning may append forked lineages; they inherit the parent's
 	// due time and are picked up by the index loop.
 	for i := 0; i < len(sc.lineages); i++ {
 		l := sc.lineages[i]
-		if l.inflight || len(l.members) == 0 {
+		if l.inflight || len(l.members) == 0 || now.Before(l.due) || sc.awaitsMerge(l) {
 			continue
 		}
-		if !l.started && now.Before(l.formed.Add(sc.srv.cfg.CohortWindow)) {
-			continue
-		}
-		if now.Before(l.due) {
-			continue
-		}
-		if overloaded {
-			sc.srv.mShedDeferrals.Add(1)
-			continue
-		}
-		knob, ok := sc.partition(l, now)
-		if !ok {
-			continue // lineage dissolved (fork error path)
-		}
-		job := &encodeJob{lin: l, frame: l.frame, knob: knob, start: now}
-		if sc.enqueue(l, job) {
-			l.inflight = true
-			l.started = true
-			if sc.srv.cfg.FrameInterval > 0 {
-				l.due = now.Add(sc.srv.cfg.FrameInterval)
+		if !full {
+			knob, ok := sc.partition(l, now)
+			if !ok {
+				continue // lineage dissolved (fork error path)
 			}
-		} else {
+			job := &encodeJob{lin: l, frame: l.frame, knob: knob, start: now}
+			if sc.enqueue(l, job) {
+				if interval > 0 {
+					sc.srv.mDispatchSlip.Observe(now.Sub(l.due))
+				}
+				next, reanchored := advanceDue(l.due, now, interval, !l.started)
+				if reanchored {
+					sc.srv.mReanchors.Add(1)
+				}
+				l.due = next
+				l.inflight = true
+				l.started = true
+				continue
+			}
+			full = true
+		}
+		if slipped(l.due, now, interval) {
 			overloaded = true
 			sc.srv.mShedDeferrals.Add(1)
 		}
@@ -365,6 +365,25 @@ func (sc *scheduler) dispatch(now time.Time) {
 	}
 	sc.srv.mFarmDepth.Set(float64(depth))
 	sc.setOverloaded(overloaded)
+}
+
+// awaitsMerge reports whether l should hold its dispatch for a
+// cohort-mate still encoding the frame l has just finished, when both
+// are quiescent and so could re-merge. On the capture grid a fork and
+// its parent fall due together; if l went ahead whenever the mate's
+// encode overran the slot, the mate would trail it by one frame for
+// good and tryMerge would never see them at the same frame. The mate's
+// result triggers the next pass, which merges or releases l.
+func (sc *scheduler) awaitsMerge(l *lineage) bool {
+	if sc.srv.cfg.DisableMerge || !l.started {
+		return false
+	}
+	for _, p := range sc.lineages {
+		if p.inflight && p.frame+1 == l.frame && p.key == l.key && len(p.members) > 0 {
+			return sc.quiescent(l) && sc.quiescent(p)
+		}
+	}
+	return false
 }
 
 // enqueue offers a job to the lineage's sticky worker queue first, then
@@ -624,9 +643,7 @@ func (sc *scheduler) tryMerge(l *lineage) {
 		}
 		keep.members = append(keep.members, drop.members...)
 		drop.members = nil
-		if drop.due.Before(keep.due) {
-			keep.due = drop.due
-		}
+		keep.due = mergedDue(keep.due, drop.due)
 		sc.dropLineage(drop)
 		sc.srv.mMerges.Add(1)
 		sc.srv.cfg.logf("lineage %d: merged into lineage %d at frame %d (%d members)",

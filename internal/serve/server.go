@@ -37,8 +37,19 @@ type Config struct {
 	QueueFrames int
 	// MTU bounds media packet payloads. Default 1400.
 	MTU int
-	// FrameInterval paces each lineage between frames (0 = unpaced, as
-	// fast as the farm allows). Default 0.
+	// FrameInterval paces each lineage on a capture-clock grid: its
+	// first dispatch (when the cohort window closes) anchors the grid,
+	// and frame k is then due at anchor + k × FrameInterval, so a late
+	// dispatch delays that frame alone instead of every later one. A
+	// dispatch a whole interval or more late re-anchors the grid at
+	// that dispatch, skipping the missed slots rather than bursting to
+	// catch up (server.pacing_reanchors). The same yardstick defines
+	// overload: a due lineage that finds the farm backlog full is
+	// load-shed — deferred, counted, admission-gated — only once it is a
+	// whole interval behind its grid; otherwise it goes out on the next
+	// pass. 0 = unpaced, as fast as the farm allows, where every due
+	// lineage counts as behind and a full backlog alone is overload.
+	// Default 0.
 	FrameInterval time.Duration
 	// SessionTimeout is the hard per-session deadline. Default 10m.
 	SessionTimeout time.Duration
@@ -62,9 +73,10 @@ type Config struct {
 	// change the goroutine topology.
 	FarmWorkers int
 	// FarmBacklog bounds the farm's job queue. When a scheduling pass
-	// cannot enqueue every due lineage, the newest lineages are
-	// deferred first (load shedding) and admission rejects new hellos
-	// until the backlog drains. Default 2 × FarmWorkers.
+	// cannot enqueue every due lineage, the newest lineages wait first;
+	// those a whole FrameInterval behind are load-shed and admission
+	// rejects new hellos until the farm catches up. Default 2 ×
+	// FarmWorkers.
 	FarmBacklog int
 	// CohortWindow is how long a newly formed lineage lingers at frame
 	// 0 so that compatible sessions arriving within the window join it
@@ -273,6 +285,7 @@ type Server struct {
 	mCompleted     *obs.Counter
 	mBadDatagrams  *obs.Counter
 	mLostFeedback  *obs.Counter
+	mE2EDiscarded  *obs.Counter
 	mEncodes       *obs.Counter
 	mSharedFrames  *obs.Counter
 	mForks         *obs.Counter
@@ -281,6 +294,8 @@ type Server struct {
 	mFarmDepth     *obs.Gauge
 	mShedDeferrals *obs.Counter
 	mShedRejects   *obs.Counter
+	mDispatchSlip  *obs.Histogram
+	mReanchors     *obs.Counter
 	mOverloaded    *obs.Gauge
 	mSendBatches   *obs.Counter
 	mSendDatagrams *obs.Counter
@@ -384,6 +399,7 @@ func New(cfg Config) (*Server, error) {
 		mCompleted:     cfg.Registry.Counter("server.sessions_completed"),
 		mBadDatagrams:  cfg.Registry.Counter("server.bad_datagrams"),
 		mLostFeedback:  cfg.Registry.Counter("server.feedback_dropped"),
+		mE2EDiscarded:  cfg.Registry.Counter("server.e2e_discarded"),
 		mEncodes:       cfg.Registry.Counter("server.encodes"),
 		mSharedFrames:  cfg.Registry.Counter("server.encode_shared_frames"),
 		mForks:         cfg.Registry.Counter("server.lineage_forks"),
@@ -392,6 +408,8 @@ func New(cfg Config) (*Server, error) {
 		mFarmDepth:     cfg.Registry.Gauge("server.farm_queue_depth"),
 		mShedDeferrals: cfg.Registry.Counter("server.loadshed_deferrals"),
 		mShedRejects:   cfg.Registry.Counter("server.loadshed_rejects"),
+		mDispatchSlip:  cfg.Registry.Histogram("server.dispatch_slip"),
+		mReanchors:     cfg.Registry.Counter("server.pacing_reanchors"),
 		mOverloaded:    cfg.Registry.Gauge("server.overloaded"),
 		mSendBatches:   cfg.Registry.Counter("server.send_batches"),
 		mSendDatagrams: cfg.Registry.Counter("server.send_datagrams"),
@@ -595,27 +613,37 @@ func (s *Server) readLoop(sh *shard) {
 // sessions; reports and byes for sessions pinned elsewhere are handled
 // right here — the cross-shard hand-off — because the session table is
 // shared and the feedback channel takes sends from any goroutine.
+//
+// Reports and byes are trusted only from the session's own client
+// host: one from any other IP address is counted as a bad datagram and
+// dropped, so a forged session id can neither retune nor stop a
+// stream, nor feed the fleet's e2e latency histogram. The port is not
+// compared: a receiver may send its feedback from a second socket, as
+// RTCP rides beside RTP, and that is also how the cross-shard hand-off
+// is exercised (TestCrossShardHandoff).
 func (s *Server) handleDatagram(sh *shard, buf []byte, from netip.AddrPort) {
 	if len(buf) == 0 {
 		return
 	}
 	switch buf[0] {
 	case msgHello:
-		s.handleHello(sh, buf, net.UDPAddrFromAddrPort(from))
+		s.handleHello(sh, buf, from)
 	case msgReport:
 		r, err := parseReport(buf)
 		if err != nil {
 			s.mBadDatagrams.Add(1)
 			return
 		}
-		if r.E2EMicros > 0 {
-			s.mE2ELat.ObserveValue(int64(r.E2EMicros))
-		}
-		s.mu.Lock()
-		sess := s.sessions[r.Session]
-		s.mu.Unlock()
+		sess := s.sessionFrom(r.Session, from)
 		if sess == nil {
-			return // stale report for a finished session
+			return
+		}
+		// An echo older than a whole session cannot be a real sample.
+		switch e2e := int64(r.E2EMicros); {
+		case e2e > s.cfg.SessionTimeout.Microseconds():
+			s.mE2EDiscarded.Add(1)
+		case e2e > 0:
+			s.mE2ELat.ObserveValue(e2e)
 		}
 		select {
 		case sess.feedback <- r:
@@ -628,10 +656,7 @@ func (s *Server) handleDatagram(sh *shard, buf []byte, from netip.AddrPort) {
 			s.mBadDatagrams.Add(1)
 			return
 		}
-		s.mu.Lock()
-		sess := s.sessions[id]
-		s.mu.Unlock()
-		if sess != nil {
+		if sess := s.sessionFrom(id, from); sess != nil {
 			s.cfg.logf("session %d: client bye", id)
 			sess.stopReq.Store(true)
 			s.sched.poke()
@@ -639,6 +664,20 @@ func (s *Server) handleDatagram(sh *shard, buf []byte, from netip.AddrPort) {
 	default:
 		s.mBadDatagrams.Add(1)
 	}
+}
+
+// sessionFrom looks up a live session for a report or bye, returning
+// nil for a finished session (a stale datagram) and for a datagram
+// from another host than the session's client (counted as bad).
+func (s *Server) sessionFrom(id uint32, from netip.AddrPort) *session {
+	s.mu.Lock()
+	sess := s.sessions[id]
+	s.mu.Unlock()
+	if sess != nil && sess.addr.Addr() != from.Addr() {
+		s.mBadDatagrams.Add(1)
+		return nil
+	}
+	return sess
 }
 
 // handleHello is admission control: duplicate hellos re-accept the
@@ -650,7 +689,8 @@ func (s *Server) handleDatagram(sh *shard, buf []byte, from netip.AddrPort) {
 // hello: the kernel's flow steering will keep routing this client
 // there, so pinning aligns the session's send path with its receive
 // path (and, via lineage.home, its encode worker).
-func (s *Server) handleHello(sh *shard, buf []byte, addr *net.UDPAddr) {
+func (s *Server) handleHello(sh *shard, buf []byte, from netip.AddrPort) {
+	addr := net.UDPAddrFromAddrPort(from)
 	h, err := parseHello(buf)
 	if err != nil {
 		s.mBadDatagrams.Add(1)
@@ -714,7 +754,8 @@ func (s *Server) handleHello(sh *shard, buf []byte, addr *net.UDPAddr) {
 	s.nextID++
 	sess := &session{
 		id:       s.nextID,
-		client:   copyAddr(addr),
+		client:   addr,
+		addr:     from,
 		req:      h,
 		sh:       sh,
 		feedback: make(chan report, 16),
@@ -833,10 +874,4 @@ func validRegime(r synth.Regime) bool {
 		return true
 	}
 	return false
-}
-
-func copyAddr(a *net.UDPAddr) *net.UDPAddr {
-	cp := *a
-	cp.IP = append(net.IP(nil), a.IP...)
-	return &cp
 }

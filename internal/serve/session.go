@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"net/netip"
 	"sync/atomic"
 	"time"
 
@@ -58,7 +59,10 @@ type SessionSummary struct {
 type session struct {
 	id     uint32
 	client *net.UDPAddr
-	req    hello
+	// addr is client as the read path reports it: reports and byes are
+	// accepted only from its host, compared without allocating.
+	addr netip.AddrPort
+	req  hello
 	// sh is the receive shard whose socket saw this session's hello —
 	// the kernel's 4-tuple steering keeps the client's datagrams on it —
 	// and therefore the shard whose sender carries the session's media:

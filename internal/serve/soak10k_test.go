@@ -2,9 +2,7 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net"
 	"runtime"
 	"strings"
 	"sync"
@@ -23,46 +21,16 @@ import (
 // receiver fleet. The handshake retries harder than rawStream's
 // because an admission storm of ten thousand simultaneous hellos
 // legitimately overflows the server's socket buffer; a dropped hello
-// is retransmitted, not fatal.
-func drainStream(server string, h hello, reportEvery int) (frames, packets int, err error) {
-	raddr, err := net.ResolveUDPAddr("udp", server)
+// is retransmitted, not fatal. retransmits counts the hellos sent
+// after the first: each one can still be sitting in the server's socket
+// queue when this client's session ends, and is then admitted as a
+// fresh session of its own (see handleHello's endSent rule).
+func drainStream(server string, h hello, reportEvery int) (frames, packets, retransmits int, err error) {
+	conn, id, retransmits, err := dialSession(server, h, 15)
 	if err != nil {
-		return 0, 0, err
-	}
-	conn, err := net.DialUDP("udp", nil, raddr)
-	if err != nil {
-		return 0, 0, err
+		return 0, 0, retransmits, err
 	}
 	defer conn.Close()
-
-	var id uint32
-	buf := make([]byte, 2048)
-handshake:
-	for attempt := 0; ; attempt++ {
-		if attempt == 15 {
-			return 0, 0, errors.New("drain client: no accept after 15 hellos")
-		}
-		if _, err := conn.Write(appendHello(nil, h)); err != nil {
-			return 0, 0, err
-		}
-		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		for {
-			n, err := conn.Read(buf)
-			if err != nil {
-				continue handshake
-			}
-			if n > 0 && buf[0] == msgAccept {
-				if id, _, err = parseAccept(buf[:n]); err != nil {
-					return 0, 0, err
-				}
-				break handshake
-			}
-			if n > 0 && buf[0] == msgReject {
-				reason, _ := parseReject(buf[:n])
-				return 0, 0, fmt.Errorf("drain client rejected: %s", reason)
-			}
-		}
-	}
 	defer conn.Write(appendBye(nil, id))
 
 	var scratch []network.Packet
@@ -89,7 +57,7 @@ handshake:
 	for {
 		k, err := rcv.RecvBatch(slots)
 		if err != nil {
-			return 0, packets, fmt.Errorf("drain client %d read (last frame %d, %d pkts): %w",
+			return 0, packets, retransmits, fmt.Errorf("drain client %d read (last frame %d, %d pkts): %w",
 				id, maxFrame, packets, err)
 		}
 		for si := 0; si < k; si++ {
@@ -115,7 +83,7 @@ handshake:
 				scratch = pkts
 			case msgEnd:
 				if sid, fr, ok := parseEnd(b); ok && sid == id {
-					return fr, packets, nil
+					return fr, packets, retransmits, nil
 				}
 			}
 		}
@@ -193,10 +161,11 @@ func TestSoakTenThousandSessions(t *testing.T) {
 	}()
 
 	type result struct {
-		cohort  int
-		frames  int
-		packets int
-		err     error
+		cohort      int
+		frames      int
+		packets     int
+		retransmits int
+		err         error
 	}
 	// Launch staggered (~2s across the full fleet): ten thousand hellos
 	// in one instant would overflow the listen socket faster than the
@@ -208,19 +177,21 @@ func TestSoakTenThousandSessions(t *testing.T) {
 		cohort := i % cohorts
 		time.Sleep(stagger)
 		go func() {
-			fr, pk, err := drainStream(srv.Addr().String(), hello{
+			fr, pk, rt, err := drainStream(srv.Addr().String(), hello{
 				Frames: frames,
 				Regime: synth.RegimeForeman,
 				QP:     baseQP + cohort,
 			}, 0)
-			results <- result{cohort, fr, pk, err}
+			results <- result{cohort, fr, pk, rt, err}
 		}()
 	}
 
 	var done [cohorts]int
 	var flushed [cohorts]int
+	retransmits := 0
 	for i := 0; i < sessions; i++ {
 		r := <-results
+		retransmits += r.retransmits
 		if r.err != nil {
 			t.Fatalf("cohort %d client: %v", r.cohort, r.err)
 		}
@@ -267,10 +238,21 @@ func TestSoakTenThousandSessions(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 
+	// Exact session accounting. A hello retransmitted during the
+	// admission storm can still be queued in the socket when the first
+	// session's End goes out; from then on the address counts as a new
+	// client, so the late duplicate is admitted as a session of its own
+	// (it streams to a closed port and ends normally). Every admitted
+	// session must complete, and only retransmits may add sessions.
 	snap := srv.Registry().Snapshot()
-	if got := snap["server.sessions_completed"]; got != float64(sessions) {
-		t.Errorf("server.sessions_completed = %v, want %d", got, sessions)
+	started, completed := snap["server.sessions_started"], snap["server.sessions_completed"]
+	if completed != started {
+		t.Errorf("server.sessions_completed = %v, want sessions_started = %v", completed, started)
 	}
+	if extra := started - float64(sessions); extra < 0 || extra > float64(retransmits) {
+		t.Errorf("server.sessions_started = %v for %d clients and %d hello retransmits", started, sessions, retransmits)
+	}
+	t.Logf("%d clients, %d hello retransmits, %v sessions started", sessions, retransmits, started)
 	// Scale only works because encodes are shared: the farm must have
 	// encoded an order of magnitude fewer frames than it served.
 	total := float64(sessions * frames)
